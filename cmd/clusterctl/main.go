@@ -184,10 +184,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *execute {
 		shrink(mix, *nodes)
 	}
-	var ckptCost, restCost func(*batch.Job) time.Duration
-	if *storeBW > 0 {
-		ckptCost, restCost = batch.ScaledStoreCosts(*storeBW)
-	}
 	// Observability attaches to the first run of the grid (with one
 	// policy and one placement — the recommended way to use these
 	// flags — that IS the run): the recorder feeds -trace-out and
@@ -213,8 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Quantum:            quantum,
 			SuspendToHost:      *suspendToHost,
 			StoreDuplex:        duplex,
-			CheckpointCost:     ckptCost,
-			RestoreCost:        restCost,
+			StoreBandwidth:     *storeBW * 1e6,
 			Faults:             faults,
 			CheckpointInterval: *ckptInterval,
 		}
@@ -383,10 +378,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // contended preempt+quantum run per policy, with and without the
 // suspend-to-host tier. Schema 3 adds the observability tax: the same
 // throughput queue drained with a MemRecorder attached, so a recorder
-// regression shows up next to the baseline it is promised to track
-// within a few percent. Schema 4 adds the serving front door: submit-
-// to-dispatch latency percentiles and accepted-job throughput from a
-// pinned slam run against an in-process clusterctl-serve daemon.
+// regression shows up next to the bare baseline. Schema 4 adds the
+// serving front door: submit-to-dispatch latency percentiles and
+// accepted-job throughput from a pinned slam run against an in-process
+// clusterctl-serve daemon.
 // Schema 5 adds the datacenter-scale row: the pinned 1M-job/10k-node
 // drain (indexed placement, incremental shadows, calendar event queue)
 // and its jobs/s — zero in snapshots written without -bench-scale, so

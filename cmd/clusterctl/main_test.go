@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,31 @@ func TestRunPlainTraceReplay(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "policy easy") {
 		t.Fatalf("report missing from stdout:\n%s", out.String())
+	}
+}
+
+// TestRunStoreBandwidthRaisesOverhead pins the -store-bandwidth wiring:
+// a 30 MB/s checkpoint store, slower than the paper's Gigabit link,
+// makes the same preemptive run pay more checkpoint/restore overhead.
+func TestRunStoreBandwidthRaisesOverhead(t *testing.T) {
+	overhead := func(extra ...string) time.Duration {
+		var out, errw strings.Builder
+		args := append([]string{"-policy", "fairshare", "-preempt"}, extra...)
+		if code := run(args, &out, &errw); code != 0 {
+			t.Fatalf("%v: exit code %d, stderr: %s", args, code, errw.String())
+		}
+		m := regexp.MustCompile(`checkpoints\), (\S+) checkpoint/restore overhead`).FindStringSubmatch(out.String())
+		if m == nil {
+			t.Fatalf("%v: no preemption overhead line in:\n%s", args, out.String())
+		}
+		d, err := time.ParseDuration(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	if base, slow := overhead(), overhead("-store-bandwidth", "30"); slow <= base {
+		t.Fatalf("overhead %v at 30 MB/s, not above %v at the default link", slow, base)
 	}
 }
 

@@ -101,10 +101,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	if *compress <= 0 {
 		return subFail(stderr, "serve", "-compress %g: compression must be positive", *compress)
 	}
-	var ckptCost, restCost func(*batch.Job) time.Duration
-	if *storeBW > 0 {
-		ckptCost, restCost = batch.ScaledStoreCosts(*storeBW)
-	}
 	cfg := server.Config{
 		Batch: batch.Config{
 			Cluster:        batch.NewCluster(*nodes, netsim.GigabitSwitch(*nodes)),
@@ -115,8 +111,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 			Quantum:        *quantum,
 			SuspendToHost:  *suspendToHost,
 			StoreDuplex:    duplex,
-			CheckpointCost: ckptCost,
-			RestoreCost:    restCost,
+			StoreBandwidth: *storeBW * 1e6,
 		},
 		Compress: *compress,
 		Quota:    server.Quota{MaxQueued: *maxQueued, MaxNodeSeconds: *maxNodeSec},

@@ -109,8 +109,8 @@ func TestCancelRunningGang(t *testing.T) {
 // committed), then the job lands Canceled instead of requeueing, and
 // the preemptor's wave settles normally.
 func TestCancelMidDrain(t *testing.T) {
-	ck, rs := fixedCosts(500*time.Millisecond, 200*time.Millisecond)
-	s := New(Config{Cluster: newTestCluster(4), Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+	lg := testLegs(500*time.Millisecond, 200*time.Millisecond, 0, 0)
+	s := New(Config{Cluster: newTestCluster(4), Preempt: true, fixedLegs: lg})
 	low := &Job{Name: "low", Kind: KindPDE, Nodes: 4, Priority: 0, Est: time.Hour}
 	high := &Job{Name: "high", Kind: KindPDE, Nodes: 4, Priority: 5, Est: 10 * time.Second, Submit: 2 * time.Second}
 	submitAll(t, s, []*Job{low, high})
@@ -149,8 +149,8 @@ func TestCancelMidDrain(t *testing.T) {
 // read gives its link slot back, and the overhead refund keeps busy
 // time exactly equal to charged overhead plus banked work.
 func TestCancelMidRestore(t *testing.T) {
-	ck, rs := fixedCosts(500*time.Millisecond, 30*time.Second)
-	s := New(Config{Cluster: newTestCluster(4), Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+	lg := testLegs(500*time.Millisecond, 30*time.Second, 0, 0)
+	s := New(Config{Cluster: newTestCluster(4), Preempt: true, fixedLegs: lg})
 	low := &Job{Name: "low", Kind: KindPDE, Nodes: 4, Priority: 0, Est: time.Hour}
 	high := &Job{Name: "high", Kind: KindPDE, Nodes: 4, Priority: 5, Est: 10 * time.Second, Submit: 2 * time.Second}
 	submitAll(t, s, []*Job{low, high})

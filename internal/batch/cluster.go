@@ -424,21 +424,6 @@ func (c *Cluster) creditBusy(a Allocation, ran time.Duration) {
 	}
 }
 
-// freeFragCount counts the maximal free runs by scanning the bitmap —
-// the brute-force reference the index property suite checks c.idx.runs
-// against; live accounting reads the index instead.
-func (c *Cluster) freeFragCount() int {
-	frags := 0
-	inRun := false
-	for _, u := range c.used {
-		if !u && !inRun {
-			frags++
-		}
-		inRun = !u
-	}
-	return frags
-}
-
 // BusyTimes returns a copy of per-node accumulated busy time.
 func (c *Cluster) BusyTimes() []time.Duration {
 	out := make([]time.Duration, len(c.busy))

@@ -80,9 +80,9 @@ func TestEngineVirtualMatchesRun(t *testing.T) {
 // not depend on how the timeline was chopped.
 func TestEngineRunUntilChopped(t *testing.T) {
 	const nodes, count = 32, 150
-	ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
+	lg := testLegs(200*time.Millisecond, 100*time.Millisecond, 0, 0)
 	cfg := Config{Policy: Backfill, Preempt: true, Quantum: 5 * time.Second,
-		CheckpointCost: ck, RestoreCost: rs}
+		fixedLegs: lg}
 
 	direct := cfg
 	direct.Cluster = newTestCluster(nodes)

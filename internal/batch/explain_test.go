@@ -56,11 +56,11 @@ func TestExplainShadowUnderEASY(t *testing.T) {
 // TestExplainWaveDraining: the beneficiary of a preemption wave waits
 // on its victims' checkpoints, and the passes in between say so.
 func TestExplainWaveDraining(t *testing.T) {
-	ck, rs := fixedCosts(30*time.Second, 10*time.Second)
+	lg := testLegs(30*time.Second, 10*time.Second, 0, 0)
 	rec := &MemRecorder{}
 	s := New(Config{
 		Cluster: newTestCluster(4), Policy: Backfill, Preempt: true,
-		CheckpointCost: ck, RestoreCost: rs, Recorder: rec,
+		fixedLegs: lg, Recorder: rec,
 	})
 	hog := &Job{Name: "hog", Kind: KindLBM, Nodes: 4, Priority: 0, Est: time.Hour}
 	urgent := &Job{Name: "urgent", Kind: KindCG, Nodes: 4, Priority: 9,
@@ -79,11 +79,11 @@ func TestExplainWaveDraining(t *testing.T) {
 func TestExplainFutileCheckpoint(t *testing.T) {
 	// Drain (10 min) dwarfs the hog's remaining 5 minutes: suspending
 	// it frees nothing sooner.
-	ck, rs := fixedCosts(10*time.Minute, time.Second)
+	lg := testLegs(10*time.Minute, time.Second, 0, 0)
 	rec := &MemRecorder{}
 	s := New(Config{
 		Cluster: newTestCluster(4), Policy: FIFO, Preempt: true,
-		CheckpointCost: ck, RestoreCost: rs, Recorder: rec,
+		fixedLegs: lg, Recorder: rec,
 	})
 	hog := &Job{Name: "hog", Kind: KindLBM, Nodes: 4, Priority: 0, Est: 5 * time.Minute}
 	urgent := &Job{Name: "urgent", Kind: KindCG, Nodes: 4, Priority: 9,

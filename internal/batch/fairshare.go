@@ -40,20 +40,6 @@ func (s *Scheduler) halfLife() time.Duration {
 	return 30 * time.Minute
 }
 
-// usageOf returns user u's decayed node-seconds at the current clock.
-// Relative order between users is invariant under pure clock advance
-// (every account decays by the same rate), so the queue order only
-// truly changes when usage is charged. The queue comparator reads the
-// precomputed keys (keyOf) instead; this live value is kept for
-// reports, metrics, and the key-order cross-check test.
-func (s *Scheduler) usageOf(u string) float64 {
-	a := s.usage[u]
-	if a == nil {
-		return 0
-	}
-	return a.val * math.Exp2(-float64(s.now-a.at)/float64(s.halfLife()))
-}
-
 // keyOf returns user u's epoch-normalized sort key: monotone in the
 // decayed usage, comparable without any per-comparison decay.
 func (s *Scheduler) keyOf(u string) float64 {

@@ -340,13 +340,7 @@ func (s *Scheduler) applyNodeDown(ev faultEvent) {
 				}
 			}
 		}
-		p.restoreCost = 0
-		if p.doneWork > 0 {
-			p.restoreCost = s.cfg.RestoreCost(p)
-			if p.restoreCost < 0 {
-				p.restoreCost = 0
-			}
-		}
+		s.restartFromBank(p)
 	}
 	c.nodeDown(node)
 	s.downSince[node] = s.now
@@ -453,15 +447,7 @@ func (s *Scheduler) failGang(j *Job) {
 		}
 		j.banking = false
 		j.hostDrain = false
-		if b := j.waveFor; b != nil {
-			j.waveFor = nil
-			if b.waveLeft > 0 {
-				b.waveLeft--
-			}
-			if b.waveLeft == 0 {
-				b.wavePending = false
-			}
-		}
+		s.settleWave(j)
 	} else {
 		s.loseProgress(j)
 	}
@@ -485,13 +471,7 @@ func (s *Scheduler) failGang(j *Job) {
 		s.finishCanceled(j)
 		return
 	}
-	j.restoreCost = 0
-	if j.doneWork > 0 {
-		j.restoreCost = s.cfg.RestoreCost(j)
-		if j.restoreCost < 0 {
-			j.restoreCost = 0
-		}
-	}
+	s.restartFromBank(j)
 	j.State = Queued
 	s.pending.push(j)
 	if s.rec != nil {
@@ -512,6 +492,16 @@ func (s *Scheduler) voidPromises() {
 		if p != nil {
 			p.promised = false
 		}
+	}
+}
+
+// restartFromBank prices j's next dispatch after a fault destroyed its
+// running state or its host-RAM image: a store restore of its last
+// banked boundary, or nothing when it never banked any progress.
+func (s *Scheduler) restartFromBank(j *Job) {
+	j.restoreCost = 0
+	if j.doneWork > 0 {
+		j.restoreCost = s.legsOf(j).restore()
 	}
 }
 
@@ -563,18 +553,9 @@ func (s *Scheduler) armProactive(j *Job) {
 func (s *Scheduler) ckptBoundary(j *Job) {
 	j.ckptDue = false
 	s.bankProgress(j)
-	cost := s.cfg.CheckpointCost(j)
-	if cost < 0 {
-		cost = 0
-	}
-	start := s.link.reserveWrite(s.now, cost)
-	s.drainWait += start - s.now
-	if s.met != nil {
-		s.met.drainWait.Observe((start - s.now).Seconds())
-	}
-	j.overhead += (start - s.now) + cost
+	start, end := s.bookStoreDrain(j)
 	j.banking = true
-	j.End = start + cost
+	j.End = end
 	if s.rec != nil {
 		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: j.ID, From: s.now, To: j.End, Alloc: j.Alloc, Detail: "bank"})
 		s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: j.ID, From: start, To: j.End, Detail: "bank"})
@@ -610,21 +591,7 @@ func (s *Scheduler) bankSettle(j *Job) {
 	if s.met != nil {
 		s.met.banks.Inc()
 	}
-	if ck, ok := s.cfg.Execute.(Checkpointer); ok {
-		frac := 1 - float64(j.workLeft)/float64(j.workTotal)
-		done := int(frac * float64(j.steps))
-		if prev := j.snapshot; prev != nil && done < prev.Steps {
-			done = prev.Steps // never rewind a captured image
-		}
-		if done > j.steps {
-			done = j.steps
-		}
-		snap, err := ck.Checkpoint(j, j.snapshot, done)
-		if err != nil {
-			snap = nil // image lost: resume restarts from scratch
-		}
-		j.snapshot = snap
-	}
+	s.captureSnapshot(j)
 	j.segStart, j.segRestore = s.now, 0
 	dur := time.Duration(float64(j.workLeft) * j.segFactor)
 	if dur < time.Millisecond {

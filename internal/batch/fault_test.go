@@ -238,7 +238,7 @@ func TestFaultStormDeterminism(t *testing.T) {
 	for _, pol := range Policies() {
 		for _, cc := range configs {
 			t.Run(pol.String()+"/"+cc.name, func(t *testing.T) {
-				ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
+				lg := testLegs(200*time.Millisecond, 100*time.Millisecond, 50*time.Millisecond, 25*time.Millisecond)
 				run := func() (Report, []Event) {
 					rec := &MemRecorder{}
 					s := New(Config{
@@ -247,8 +247,7 @@ func TestFaultStormDeterminism(t *testing.T) {
 						Preempt:            cc.preempt,
 						Quantum:            cc.quantum,
 						SuspendToHost:      cc.suspend,
-						CheckpointCost:     ck,
-						RestoreCost:        rs,
+						fixedLegs:          lg,
 						Faults:             stormPlan(404),
 						CheckpointInterval: 2 * time.Minute,
 						Recorder:           rec,
@@ -337,12 +336,11 @@ func TestTrunkOutageKillsCrossingGangs(t *testing.T) {
 func TestCheckpointIntervalGoodput(t *testing.T) {
 	plan := &FaultPlan{Crashes: []NodeFault{{Node: 0, At: 60 * time.Second, Repair: 5 * time.Second}}}
 	run := func(interval time.Duration) Report {
-		ck, rs := fixedCosts(time.Second, 500*time.Millisecond)
+		lg := testLegs(time.Second, 500*time.Millisecond, 0, 0)
 		s := New(Config{
 			Cluster:            newTestCluster(8),
 			Policy:             FIFO,
-			CheckpointCost:     ck,
-			RestoreCost:        rs,
+			fixedLegs:          lg,
 			Faults:             plan,
 			CheckpointInterval: interval,
 		})
@@ -391,7 +389,7 @@ func TestCheckpointIntervalGoodput(t *testing.T) {
 // plan counts as no faults.
 func TestCheckpointIntervalFaultFreeIdentity(t *testing.T) {
 	const nodes, count = 32, 120
-	ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
+	lg := testLegs(200*time.Millisecond, 100*time.Millisecond, 0, 0)
 	run := func(interval time.Duration, plan *FaultPlan) (Report, []Event) {
 		rec := &MemRecorder{}
 		s := New(Config{
@@ -399,8 +397,7 @@ func TestCheckpointIntervalFaultFreeIdentity(t *testing.T) {
 			Policy:             Backfill,
 			Preempt:            true,
 			Quantum:            300 * time.Second,
-			CheckpointCost:     ck,
-			RestoreCost:        rs,
+			fixedLegs:          lg,
 			Faults:             plan,
 			CheckpointInterval: interval,
 			Recorder:           rec,

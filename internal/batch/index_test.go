@@ -481,3 +481,34 @@ func TestQueueTombstones(t *testing.T) {
 		t.Fatal("removing an absent job changed the queue length")
 	}
 }
+
+// freeFragCount counts the maximal free runs by scanning the bitmap —
+// the brute-force reference the index property suite checks c.idx.runs
+// against; live accounting reads the index instead.
+func (c *Cluster) freeFragCount() int {
+	frags := 0
+	inRun := false
+	for _, u := range c.used {
+		if !u && !inRun {
+			frags++
+		}
+		inRun = !u
+	}
+	return frags
+}
+
+// nextArrival returns the earliest resolved arrival strictly after now
+// among pending jobs. The live event loop reads the calendar queue
+// instead (Scheduler.arrivals); this linear scan is kept as the
+// brute-force reference the index property suite cross-checks.
+func (q *queue) nextArrival(now time.Duration) (time.Duration, bool) {
+	var best time.Duration
+	found := false
+	for _, j := range q.jobs {
+		if j != nil && j.arrive > now && (!found || j.arrive < best) {
+			best = j.arrive
+			found = true
+		}
+	}
+	return best, found
+}

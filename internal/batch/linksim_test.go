@@ -16,9 +16,9 @@ import (
 // exists.
 func TestMassRedispatchSerializesOnReadLink(t *testing.T) {
 	const drain, restore = 4 * time.Second, 6 * time.Second
-	ck, rs := fixedCosts(drain, restore)
+	lg := testLegs(drain, restore, 0, 0)
 	s := New(Config{Cluster: newTestCluster(24), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	var victims []*Job
 	for i := 0; i < 3; i++ {
 		victims = append(victims, &Job{Name: "victim", Nodes: 8, Priority: 0, Est: 500 * time.Second})
@@ -72,9 +72,9 @@ func TestMassRedispatchSerializesOnReadLink(t *testing.T) {
 // independent timelines.
 func TestHalfDuplexSharesOneTimeline(t *testing.T) {
 	run := func(d Duplex) (*Job, Report) {
-		ck, rs := fixedCosts(4*time.Second, 10*time.Second)
+		lg := testLegs(4*time.Second, 10*time.Second, 0, 0)
 		s := New(Config{Cluster: newTestCluster(16), Policy: Backfill,
-			Preempt: true, StoreDuplex: d, CheckpointCost: ck, RestoreCost: rs})
+			Preempt: true, StoreDuplex: d, fixedLegs: lg})
 		v1 := &Job{Name: "v1", Nodes: 8, Priority: 5, Est: 500 * time.Second}
 		u1 := &Job{Name: "u1", Nodes: 16, Priority: 9, Est: 30 * time.Second, Submit: 10 * time.Second}
 		v2 := &Job{Name: "v2", Nodes: 8, Priority: 1, Est: 500 * time.Second, Submit: 44 * time.Second}
@@ -120,9 +120,9 @@ func TestHalfDuplexSharesOneTimeline(t *testing.T) {
 // because the victim's own later re-dispatch would otherwise queue
 // behind its ghost reservation.
 func TestRestorePreemptedMidQueueRefundsAndFreesLink(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, 10*time.Second)
+	lg := testLegs(2*time.Second, 10*time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(24), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	v := &Job{Name: "v", Nodes: 8, Priority: 0, Est: 500 * time.Second}
 	w := &Job{Name: "w", Nodes: 8, Priority: 1, Est: 500 * time.Second}
 	x := &Job{Name: "x", Nodes: 8, Priority: 2, Est: 500 * time.Second}
@@ -172,9 +172,9 @@ func TestRestorePreemptedMidQueueRefundsAndFreesLink(t *testing.T) {
 // refunded — the wire time already spent stays charged, and busy time
 // remains exactly work plus overhead across two preemptions.
 func TestRestorePreemptedMidTransferRefunds(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, 10*time.Second)
+	lg := testLegs(2*time.Second, 10*time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	v := &Job{Name: "v", Nodes: 8, Priority: 0, Est: 500 * time.Second}
 	u1 := &Job{Name: "u1", Nodes: 8, Priority: 9, Est: 30 * time.Second, Submit: 10 * time.Second}
 	u2 := &Job{Name: "u2", Nodes: 8, Priority: 9, Est: 20 * time.Second, Submit: 45 * time.Second}

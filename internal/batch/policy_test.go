@@ -281,3 +281,17 @@ func TestConservativeBeatsFIFOOnSkewedWorkload(t *testing.T) {
 	}
 	checkNoOverlap(t, cons.Jobs, 32)
 }
+
+// usageOf returns user u's decayed node-seconds at the current clock.
+// Relative order between users is invariant under pure clock advance
+// (every account decays by the same rate), so the queue order only
+// truly changes when usage is charged. The queue comparator reads the
+// precomputed keys (keyOf) instead; this live value is the reference
+// the key-order cross-check compares them against.
+func (s *Scheduler) usageOf(u string) float64 {
+	a := s.usage[u]
+	if a == nil {
+		return 0
+	}
+	return a.val * math.Exp2(-float64(s.now-a.at)/float64(s.halfLife()))
+}

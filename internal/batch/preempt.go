@@ -11,11 +11,11 @@ import (
 // set and the blocked head of the queue has strictly higher priority
 // than running jobs, the scheduler suspends the cheapest sufficient set
 // of low-priority gangs: each victim drains a checkpoint of its
-// workload image (CheckpointCost, charged as continued node occupancy),
-// re-enters the queue with its completed work banked, and pays
-// RestoreCost when it is dispatched again. The preemptor then starts on
-// the drained nodes through the ordinary scheduling pass — priority
-// order guarantees it is offered them first.
+// workload image (a store checkpoint, charged as continued node
+// occupancy), re-enters the queue with its completed work banked, and
+// pays a store restore when it is dispatched again. The preemptor then
+// starts on the drained nodes through the ordinary scheduling pass —
+// priority order guarantees it is offered them first.
 
 // Snapshot is a checkpointed workload image: how far the workload had
 // advanced and how large the saved per-node state is. Executors that
@@ -48,63 +48,47 @@ type Checkpointer interface {
 	Resume(j *Job, snap *Snapshot) (detail string, err error)
 }
 
-// ckptHardware is the fixed hardware model behind the default
-// checkpoint/restore costs: the paper's AGP 8x bus and Gigabit links.
+// ckptHardware is the fixed hardware model behind the transfer legs:
+// the paper's AGP 8x bus and Gigabit links.
 var ckptHardware = perfmodel.Paper()
 
-// storeTransfer prices moving one node's image over the Gigabit link to
-// or from the checkpoint store — the leg both directions of the store
-// round-trip share, and the one suspend-to-host skips.
-func storeTransfer(j *Job) time.Duration {
-	h := ckptHardware
-	return time.Duration(float64(j.memNeed) / (h.Net.LinkBandwidth * h.Net.Efficiency) * float64(time.Second))
+// legs prices one node's workload image over each transfer a tier move
+// is built from: the GPU->host readback over the (asymmetric, slow-up)
+// AGP bus, the host->GPU download over its fast direction, and the
+// write and read over the store link. Gang nodes move their images in
+// parallel, so a job pays each leg once regardless of width. Every
+// tier move is a sum of legs:
+//
+//	store checkpoint            busUp + storeWrite
+//	store restore               storeRead + busDown
+//	host suspend                busUp
+//	host resume                 busDown
+//	demotion or migration write storeWrite
+//
+// so the write a demotion pays is exactly the one its host suspension
+// skipped, and no move can be priced two ways.
+type legs struct {
+	busUp, busDown, storeWrite, storeRead time.Duration
 }
 
-// DefaultHostSuspendCost models the bus-only half of a drain: the
-// GPU->host readback over the (asymmetric, slow-up) AGP bus. It is the
-// whole price of a suspend-to-host drain — the image stays in node RAM
-// — and the first leg of a store checkpoint.
-func DefaultHostSuspendCost(j *Job) time.Duration {
-	h := ckptHardware
-	bytes := float64(j.memNeed)
-	return time.Duration(bytes/(h.Bus.UpBandwidth*h.Bus.Efficiency)*float64(time.Second)) + h.Bus.OpLatency
-}
+func (l legs) checkpoint() time.Duration { return l.busUp + l.storeWrite }
+func (l legs) restore() time.Duration    { return l.storeRead + l.busDown }
 
-// DefaultHostResumeCost models the bus-only half of a restore: the
-// host->GPU download riding the fast direction of the AGP bus — the
-// whole price of resuming a host-resident image.
-func DefaultHostResumeCost(j *Job) time.Duration {
-	h := ckptHardware
-	bytes := float64(j.memNeed)
-	return time.Duration(bytes/(h.Bus.DownBandwidth*h.Bus.Efficiency)*float64(time.Second)) + h.Bus.OpLatency
-}
-
-// DefaultCheckpointCost models draining one node's workload image at a
-// checkpoint: the GPU->host readback over the AGP bus, then the write
-// to the shared checkpoint store over the node's Gigabit link. Gang
-// nodes drain in parallel, so the job pays the per-node cost once
-// regardless of width.
-func DefaultCheckpointCost(j *Job) time.Duration {
-	return DefaultHostSuspendCost(j) + storeTransfer(j)
-}
-
-// DefaultRestoreCost models reloading a checkpointed image at the next
-// dispatch: the read back from the store plus the host->GPU download,
-// which rides the fast direction of the AGP bus.
-func DefaultRestoreCost(j *Job) time.Duration {
-	return storeTransfer(j) + DefaultHostResumeCost(j)
-}
-
-// ScaledStoreCosts returns checkpoint/restore cost functions with the
-// store leg priced at mbps megabytes per second instead of the paper's
-// Gigabit link — the clusterctl -store-bandwidth knob. The bus legs
-// keep the calibrated AGP model. mbps must be positive.
-func ScaledStoreCosts(mbps float64) (ckpt, restore func(*Job) time.Duration) {
-	leg := func(j *Job) time.Duration {
-		return time.Duration(float64(j.memNeed) / (mbps * 1e6) * float64(time.Second))
+// legsOf returns j's transfer legs: the AGP bus at j's per-node memory
+// footprint, and the store link at Config.StoreBandwidth.
+func (s *Scheduler) legsOf(j *Job) legs {
+	if l := s.cfg.fixedLegs; l != nil {
+		return *l
 	}
-	return func(j *Job) time.Duration { return DefaultHostSuspendCost(j) + leg(j) },
-		func(j *Job) time.Duration { return leg(j) + DefaultHostResumeCost(j) }
+	bus := ckptHardware.Bus
+	bytes := float64(j.memNeed)
+	store := time.Duration(bytes / s.cfg.StoreBandwidth * float64(time.Second))
+	return legs{
+		busUp:      time.Duration(bytes/(bus.UpBandwidth*bus.Efficiency)*float64(time.Second)) + bus.OpLatency,
+		busDown:    time.Duration(bytes/(bus.DownBandwidth*bus.Efficiency)*float64(time.Second)) + bus.OpLatency,
+		storeWrite: store,
+		storeRead:  store,
+	}
 }
 
 // preemptOutcome reports what preemptFor did (or why it did nothing)
@@ -319,32 +303,20 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 	v.forceStore = false
 	v.ckptDue = false // the drain supersedes any armed proactive bank
 	s.bankProgress(v)
-	var start, cost time.Duration
+	var start, end time.Duration
 	if hostTier {
-		cost = s.cfg.HostSuspendCost(v)
-		if cost < 0 {
-			cost = 0
-		}
-		start = s.now
+		start, end = s.now, s.now+s.legsOf(v).busUp
+		v.overhead += end - start
 		v.hostDrain = true
 		s.hostSuspends++
 	} else {
-		cost = s.cfg.CheckpointCost(v)
-		if cost < 0 {
-			cost = 0
-		}
-		start = s.link.reserveWrite(s.now, cost)
-		s.drainWait += start - s.now
-		if s.met != nil {
-			s.met.drainWait.Observe((start - s.now).Seconds())
-		}
+		start, end = s.bookStoreDrain(v)
 	}
-	v.overhead += (start - s.now) + cost
 	v.preempting = true
 	// The drain rewrites the completion event: re-key the end-time
 	// treap in step (the caller re-establishes heap order).
 	s.ends.del(v.End, v.ID)
-	v.End = start + cost
+	v.End = end
 	s.ends.add(v.End, v.ID, v.Alloc.Count)
 	s.ckptInFlight++
 	if v.slicing {
@@ -353,10 +325,10 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 		s.preemptEvents++
 	}
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: v.ID, From: s.now, To: start + cost,
+		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: v.ID, From: s.now, To: end,
 			Alloc: v.Alloc, Detail: drainDetail(hostTier, v.slicing)})
 		if !hostTier {
-			s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: v.ID, From: start, To: start + cost, Detail: "drain"})
+			s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: v.ID, From: start, To: end, Detail: "drain"})
 		}
 	}
 	if s.met != nil {
@@ -368,17 +340,33 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 	}
 }
 
-// bankProgress settles a running segment interrupted at the current
-// instant — a checkpoint drain beginning, or a mid-run Cancel: it
-// credits the work the segment completed against workLeft/doneWork and
-// refunds an interrupted restore prefix. A gang cut off mid-restore
-// never ran the reload, so the part of the prefix that never elapsed
-// comes off the overhead charge — the gang stops holding nodes at this
-// instant, keeping busy time exactly true work plus charged overhead.
-// A store restore also gives its link slot back: the untransferred
-// tail frees for the next restore, and queue wait that was charged but
-// never served comes off the contention statistic.
-func (s *Scheduler) bankProgress(v *Job) {
+// bookStoreDrain books a store checkpoint of j on the write direction
+// of the store link, behind whatever drains already queue there, and
+// charges the queue wait plus the transfer as checkpoint overhead: the
+// gang holds its nodes until the link has taken its image. It returns
+// the transfer's start and end.
+func (s *Scheduler) bookStoreDrain(j *Job) (start, end time.Duration) {
+	cost := s.legsOf(j).checkpoint()
+	start = s.link.reserveWrite(s.now, cost)
+	s.drainWait += start - s.now
+	if s.met != nil {
+		s.met.drainWait.Observe((start - s.now).Seconds())
+	}
+	end = start + cost
+	j.overhead += end - s.now
+	return start, end
+}
+
+// cutSegment settles the restore prefix of v's running segment, cut off
+// at the current instant, and returns the work time the segment ran. A
+// gang cut off mid-restore never ran the reload, so the part of the
+// prefix that never elapsed comes off the overhead charge — the gang
+// stops holding nodes at this instant, keeping busy time exactly true
+// work plus charged overhead. A store restore also gives its link slot
+// back: the untransferred tail frees for the next restore, and queue
+// wait that was charged but never served comes off the contention
+// statistic.
+func (s *Scheduler) cutSegment(v *Job) time.Duration {
 	elapsed := s.now - v.segStart - v.segRestore
 	if elapsed < 0 {
 		v.overhead += elapsed
@@ -401,7 +389,14 @@ func (s *Scheduler) bankProgress(v *Job) {
 		elapsed = 0
 	}
 	v.readStart, v.readEnd, v.readWait = 0, 0, 0
-	done := time.Duration(float64(elapsed) / v.segFactor)
+	return elapsed
+}
+
+// bankProgress settles a running segment interrupted at the current
+// instant — a checkpoint drain beginning, or a mid-run Cancel: it
+// credits the work the segment completed against workLeft/doneWork.
+func (s *Scheduler) bankProgress(v *Job) {
+	done := time.Duration(float64(s.cutSegment(v)) / v.segFactor)
 	if done > v.workLeft {
 		done = v.workLeft
 	}
@@ -409,33 +404,13 @@ func (s *Scheduler) bankProgress(v *Job) {
 	v.doneWork += done
 }
 
-// loseProgress settles a running segment a fault cut off. The
-// interrupted-restore refund mirrors bankProgress exactly — a gang
-// killed mid-restore never ran the reload, so the unelapsed prefix
-// comes off the overhead charge and the read slot frees — but the work
-// elapsed since the last banked boundary is *lost*, not banked: the job
-// redoes it from its checkpoint, and the wall time its gang already
+// loseProgress settles a running segment a fault cut off: the work
+// elapsed since the last banked boundary is *lost*, not banked — the
+// job redoes it from its checkpoint, and the wall time its gang already
 // held lands in Report.LostWork, keeping busy time exactly work +
 // overhead + lost work.
 func (s *Scheduler) loseProgress(v *Job) {
-	elapsed := s.now - v.segStart - v.segRestore
-	if elapsed < 0 {
-		v.overhead += elapsed
-		if v.readEnd > 0 {
-			if refund := v.readStart - s.now; refund > 0 {
-				if refund > v.readWait {
-					refund = v.readWait
-				}
-				s.restoreWait -= refund
-			}
-			s.link.releaseRead(v.readStart, v.readEnd, s.now)
-			if s.rec != nil {
-				s.record(Event{Time: s.now, Kind: EvStoreRead, Job: v.ID, From: v.readStart, To: s.now, Detail: "cancel"})
-			}
-		}
-		elapsed = 0
-	}
-	v.readStart, v.readEnd, v.readWait = 0, 0, 0
+	elapsed := s.cutSegment(v)
 	v.lostWork += elapsed
 	s.lostWork += elapsed
 	if s.met != nil {
@@ -469,18 +444,7 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 	} else {
 		j.preempts++
 	}
-	// Settle the wave this drain belonged to: when the beneficiary's
-	// last victim finishes draining, it may trigger a fresh wave if it
-	// is still blocked (e.g. a backfill took the freed nodes).
-	if b := j.waveFor; b != nil {
-		j.waveFor = nil
-		if b.waveLeft > 0 {
-			b.waveLeft--
-		}
-		if b.waveLeft == 0 {
-			b.wavePending = false
-		}
-	}
+	s.settleWave(j)
 	if j.canceled {
 		// Cancel hit the job while its checkpoint was draining: the
 		// drain had to land (the nodes and the link slot were already
@@ -490,21 +454,7 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 		s.finishCanceled(j)
 		return
 	}
-	if ck, ok := s.cfg.Execute.(Checkpointer); ok {
-		frac := 1 - float64(j.workLeft)/float64(j.workTotal)
-		done := int(frac * float64(j.steps))
-		if prev := j.snapshot; prev != nil && done < prev.Steps {
-			done = prev.Steps // never rewind a captured image
-		}
-		if done > j.steps {
-			done = j.steps
-		}
-		snap, err := ck.Checkpoint(j, j.snapshot, done)
-		if err != nil {
-			snap = nil // image lost: resume restarts from scratch
-		}
-		j.snapshot = snap
-	}
+	s.captureSnapshot(j)
 	if j.hostDrain {
 		// Suspend-to-host: the image stays resident in the gang's node
 		// RAM. The nodes are free for other gangs, but the image pins
@@ -514,22 +464,58 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 		j.hostImage = true
 		j.hostAlloc = j.Alloc
 		s.cfg.Cluster.reserve(j.hostAlloc, j.memNeed)
-		j.restoreCost = s.cfg.HostResumeCost(j)
+		j.restoreCost = s.legsOf(j).busDown
 		if s.rec != nil {
 			s.record(Event{Time: s.now, Kind: EvHostSuspend, Job: j.ID, Alloc: j.hostAlloc})
 			s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "host"})
 		}
 	} else {
-		j.restoreCost = s.cfg.RestoreCost(j)
+		j.restoreCost = s.legsOf(j).restore()
 		if s.rec != nil {
 			s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "store"})
 		}
 	}
-	if j.restoreCost < 0 {
-		j.restoreCost = 0
-	}
 	j.State = Queued
 	s.pending.push(j)
+}
+
+// settleWave counts j's drain off the wave it belonged to: when the
+// beneficiary's last victim finishes draining, it may trigger a fresh
+// wave if it is still blocked (e.g. a backfill took the freed nodes).
+func (s *Scheduler) settleWave(j *Job) {
+	b := j.waveFor
+	if b == nil {
+		return
+	}
+	j.waveFor = nil
+	if b.waveLeft > 0 {
+		b.waveLeft--
+	}
+	if b.waveLeft == 0 {
+		b.wavePending = false
+	}
+}
+
+// captureSnapshot advances j's real workload to its banked progress
+// and captures a restartable image, when the executor can checkpoint.
+func (s *Scheduler) captureSnapshot(j *Job) {
+	ck, ok := s.cfg.Execute.(Checkpointer)
+	if !ok {
+		return
+	}
+	frac := 1 - float64(j.workLeft)/float64(j.workTotal)
+	done := int(frac * float64(j.steps))
+	if prev := j.snapshot; prev != nil && done < prev.Steps {
+		done = prev.Steps // never rewind a captured image
+	}
+	if done > j.steps {
+		done = j.steps
+	}
+	snap, err := ck.Checkpoint(j, j.snapshot, done)
+	if err != nil {
+		snap = nil // image lost: resume restarts from scratch
+	}
+	j.snapshot = snap
 }
 
 // drainEstimate prices the drain a checkpoint of r started now would
@@ -538,7 +524,7 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 // point.
 func (s *Scheduler) drainEstimate(r *Job) time.Duration {
 	if s.hostEligible(r) {
-		return s.cfg.HostSuspendCost(r)
+		return s.legsOf(r).busUp
 	}
 	return s.storeDrainEstimate(r)
 }
@@ -547,21 +533,7 @@ func (s *Scheduler) drainEstimate(r *Job) time.Duration {
 // write-direction queue wait plus the full checkpoint transfer. The
 // forceStore flip sites re-check futility against this tariff.
 func (s *Scheduler) storeDrainEstimate(r *Job) time.Duration {
-	return s.link.writeDelay(s.now) + s.cfg.CheckpointCost(r)
-}
-
-// storeWriteLeg prices moving r's image out of host RAM into the
-// checkpoint store: the full checkpoint cost minus the bus-only drain
-// already paid at suspension — with the default model, exactly the
-// store transfer the suspension skipped. Shared by demotions and the
-// outbound leg of a migration so the same physical write can never be
-// priced two ways.
-func (s *Scheduler) storeWriteLeg(r *Job) time.Duration {
-	cost := s.cfg.CheckpointCost(r) - s.cfg.HostSuspendCost(r)
-	if cost < 0 {
-		cost = 0
-	}
-	return cost
+	return s.link.writeDelay(s.now) + s.legsOf(r).checkpoint()
 }
 
 // hostEligible reports whether a checkpoint of r can stay in host RAM:

@@ -4,13 +4,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gpucluster/internal/perfmodel"
 )
 
-// fixedCosts returns a Config charging deterministic round-number
-// checkpoint/restore costs, so tests can pin exact start times.
-func fixedCosts(ckpt, restore time.Duration) (func(*Job) time.Duration, func(*Job) time.Duration) {
-	return func(*Job) time.Duration { return ckpt },
-		func(*Job) time.Duration { return restore }
+// testLegs returns fixed transfer legs charging deterministic
+// round-number prices, so tests can pin exact start times: a store
+// checkpoint costs ckpt, a store restore restore, a host suspend
+// suspend and a host resume resume. The bus legs are the host prices
+// and the store legs the rest.
+func testLegs(ckpt, restore, suspend, resume time.Duration) *legs {
+	return &legs{busUp: suspend, busDown: resume, storeWrite: ckpt - suspend, storeRead: restore - resume}
 }
 
 // TestPreemptionReducesHighPriorityWait is the acceptance regression:
@@ -27,10 +31,10 @@ func TestPreemptionReducesHighPriorityWait(t *testing.T) {
 		return low, high, []*Job{low, high}
 	}
 	run := func(preempt bool) (Report, *Job, *Job) {
-		ck, rs := fixedCosts(ckpt, restore)
+		lg := testLegs(ckpt, restore, 0, 0)
 		s := New(Config{
 			Cluster: newTestCluster(32), Policy: Backfill,
-			Preempt: preempt, CheckpointCost: ck, RestoreCost: rs,
+			Preempt: preempt, fixedLegs: lg,
 		})
 		low, high, jobs := mkJobs()
 		submitAll(t, s, jobs)
@@ -87,9 +91,9 @@ func TestPreemptionReducesHighPriorityWait(t *testing.T) {
 // shared store link: the wave settles at the *sum* of the drain times
 // (20s + 2s + 2s), not at their maximum.
 func TestPreemptionSuspendsLowestPriorityGangs(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(32), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	keep := &Job{Name: "keep", Nodes: 8, Priority: 5, Est: 500 * time.Second}
 	vict1 := &Job{Name: "vict1", Nodes: 12, Priority: 1, Est: 500 * time.Second}
 	vict2 := &Job{Name: "vict2", Nodes: 12, Priority: 2, Est: 500 * time.Second}
@@ -135,9 +139,9 @@ func TestPreemptionSuspendsLowestPriorityGangs(t *testing.T) {
 // TestPreemptionNeverSuspendsEqualOrHigherPriority asserts the strict
 // inequality: a blocked job cannot preempt gangs of its own priority.
 func TestPreemptionNeverSuspendsEqualOrHigherPriority(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	running := &Job{Name: "running", Nodes: 8, Priority: 5, Est: 100 * time.Second}
 	same := &Job{Name: "same", Nodes: 8, Priority: 5, Est: 10 * time.Second, Submit: time.Second}
 	submitAll(t, s, []*Job{running, same})
@@ -158,10 +162,10 @@ func TestPreemptionNeverSuspendsEqualOrHigherPriority(t *testing.T) {
 func TestPreemptedWorkloadCheckpointRestore(t *testing.T) {
 	for _, kind := range []JobKind{KindLBM, KindPDE, KindCG} {
 		run := func(preempt bool) (*Job, Report) {
-			ck, rs := fixedCosts(2*time.Second, time.Second)
+			lg := testLegs(2*time.Second, time.Second, 0, 0)
 			s := New(Config{
 				Cluster: newTestCluster(4), Policy: Backfill,
-				Preempt: preempt, CheckpointCost: ck, RestoreCost: rs,
+				Preempt: preempt, fixedLegs: lg,
 				Execute: SimExecutor{},
 			})
 			victim := &Job{Name: "victim", Kind: kind, Nodes: 2, Priority: 0, Est: 100 * time.Second}
@@ -208,9 +212,9 @@ func TestPreemptedWorkloadCheckpointRestore(t *testing.T) {
 // the nodes free no earlier by preempting, so the scheduler waits
 // instead of charging checkpoint+restore for nothing.
 func TestPreemptionSkipsNearlyFinishedVictims(t *testing.T) {
-	ck, rs := fixedCosts(5*time.Second, 3*time.Second)
+	lg := testLegs(5*time.Second, 3*time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	// 4s of work left when the urgent job arrives: less than the 5s
 	// drain, so preemption cannot help.
 	almost := &Job{Name: "almost", Nodes: 8, Priority: 0, Est: 100 * time.Second}
@@ -234,9 +238,9 @@ func TestPreemptionSkipsNearlyFinishedVictims(t *testing.T) {
 // combination that previously produced hundreds of zero-progress
 // checkpoint/restore cycles on a small machine.
 func TestFairSharePreemptionRespectsDisciplineOrder(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(4), Policy: FairShare,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	// The heavy user burns usage first, so the light user's job leads
 	// the fair-share order despite its lower priority.
 	warm := &Job{Name: "warm", User: "heavy", Nodes: 4, Priority: 5, Est: 100 * time.Second}
@@ -259,23 +263,79 @@ func TestFairSharePreemptionRespectsDisciplineOrder(t *testing.T) {
 	checkNoOverlap(t, rep.Jobs, 4)
 }
 
-// TestDefaultCheckpointCostScalesWithFootprint sanity-checks the cost
-// model: a bigger per-node image costs more to drain, restore rides the
-// fast bus direction, and both are strictly positive.
-func TestDefaultCheckpointCostScalesWithFootprint(t *testing.T) {
+// TestTransferLegsPriceEveryTierMove pins the price model: the four
+// per-node legs come straight from the paper's AGP bus and Gigabit
+// link, every tier move is a sum of them (a demotion pays exactly the
+// store write its host suspension skipped), and StoreBandwidth
+// re-prices only the store legs — reproducing the old per-MB/s store
+// knob's durations exactly. It keeps the footprint sanity checks: a
+// bigger image costs more to drain, restore rides the fast bus
+// direction, and both are strictly positive.
+func TestTransferLegsPriceEveryTierMove(t *testing.T) {
 	mk := func(p [3]int) *Job {
 		j := &Job{Kind: KindLBM, Nodes: 2, problem: p}
 		j.memNeed = memoryNeed(j.Kind, p, j.Nodes)
 		return j
 	}
 	small, big := mk([3]int{16, 16, 16}), mk([3]int{64, 64, 64})
-	if DefaultCheckpointCost(small) <= 0 || DefaultRestoreCost(small) <= 0 {
+	h := perfmodel.Paper()
+	at := func(bytes int64, bw float64) time.Duration {
+		return time.Duration(float64(bytes) / bw * float64(time.Second))
+	}
+	s := New(Config{Cluster: newTestCluster(4)})
+	for _, j := range []*Job{small, big} {
+		up := at(j.memNeed, h.Bus.UpBandwidth*h.Bus.Efficiency) + h.Bus.OpLatency
+		down := at(j.memNeed, h.Bus.DownBandwidth*h.Bus.Efficiency) + h.Bus.OpLatency
+		link := at(j.memNeed, h.Net.LinkBandwidth*h.Net.Efficiency)
+		l := s.legsOf(j)
+		if want := (legs{busUp: up, busDown: down, storeWrite: link, storeRead: link}); l != want {
+			t.Fatalf("legs %+v, want %+v from the paper's bus and link", l, want)
+		}
+		if l.checkpoint() != up+link || l.restore() != link+down {
+			t.Fatalf("checkpoint %v / restore %v, want busUp+storeWrite %v / storeRead+busDown %v",
+				l.checkpoint(), l.restore(), up+link, link+down)
+		}
+		for _, mbps := range []float64{30, 55.5, 250} {
+			scaled := New(Config{Cluster: newTestCluster(4), StoreBandwidth: mbps * 1e6}).legsOf(j)
+			if scaled.busUp != l.busUp || scaled.busDown != l.busDown {
+				t.Fatalf("StoreBandwidth %g MB/s re-priced the bus legs: %+v vs %+v", mbps, scaled, l)
+			}
+			// The per-MB/s store leg of the old cost functions.
+			leg := time.Duration(float64(j.memNeed) / (mbps * 1e6) * float64(time.Second))
+			if scaled.checkpoint() != up+leg || scaled.restore() != leg+down {
+				t.Fatalf("StoreBandwidth %g MB/s: checkpoint %v / restore %v, want %v / %v",
+					mbps, scaled.checkpoint(), scaled.restore(), up+leg, leg+down)
+			}
+		}
+	}
+	if s.legsOf(small).checkpoint() <= 0 || s.legsOf(small).restore() <= 0 {
 		t.Fatal("zero checkpoint/restore cost")
 	}
-	if DefaultCheckpointCost(big) <= DefaultCheckpointCost(small) {
+	if s.legsOf(big).checkpoint() <= s.legsOf(small).checkpoint() {
 		t.Fatal("checkpoint cost not increasing in image size")
 	}
-	if DefaultRestoreCost(big) >= DefaultCheckpointCost(big) {
+	if s.legsOf(big).restore() >= s.legsOf(big).checkpoint() {
 		t.Fatal("restore (fast downstream bus) should be cheaper than checkpoint (slow AGP readback)")
+	}
+
+	// Demotion: the memory-squeezed scenario of
+	// TestSuspendToHostDemotionPaysSkippedDrain at the footprint-priced
+	// legs writes exactly the demoted image's store leg.
+	c := newTestCluster(2)
+	for i := 0; i < 2; i++ {
+		c.SetSpec(i, NodeSpec{GPUs: 1, MemBytes: 100 << 20, Group: c.Spec(i).Group})
+	}
+	d := New(Config{Cluster: c, Policy: Backfill, Preempt: true, SuspendToHost: true})
+	huge := [3]int{256, 256, 120}
+	v := &Job{Name: "v", Kind: KindPDE, Nodes: 2, Est: 500 * time.Second, Problem: huge}
+	submitAll(t, d, []*Job{v,
+		{Name: "u", Kind: KindPDE, Nodes: 2, Priority: 9, Est: 30 * time.Second,
+			Submit: 10 * time.Second, Problem: [3]int{64, 64, 16}},
+		{Name: "b", Kind: KindPDE, Nodes: 2, Priority: 5, Est: 20 * time.Second,
+			Submit: 20 * time.Second, Problem: huge}})
+	rep := d.Run()
+	if rep.Demotions != 1 || rep.DemotionTime != d.legsOf(v).storeWrite {
+		t.Fatalf("%d demotions writing %v, want 1 writing the store leg %v",
+			rep.Demotions, rep.DemotionTime, d.legsOf(v).storeWrite)
 	}
 }

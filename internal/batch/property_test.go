@@ -22,8 +22,7 @@ import (
 
 // propertyConfigs enumerates the crossed scheduler configurations.
 func propertyConfigs() []Config {
-	ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
-	hs, hr := fixedHostCosts(50*time.Millisecond, 25*time.Millisecond)
+	lg := testLegs(200*time.Millisecond, 100*time.Millisecond, 50*time.Millisecond, 25*time.Millisecond)
 	var cfgs []Config
 	for _, pol := range Policies() {
 		for _, preempt := range []bool{false, true} {
@@ -33,14 +32,11 @@ func propertyConfigs() []Config {
 						continue // no suspensions ever happen: inert
 					}
 					cfgs = append(cfgs, Config{
-						Policy:          pol,
-						Preempt:         preempt,
-						Quantum:         quantum,
-						SuspendToHost:   suspend,
-						CheckpointCost:  ck,
-						RestoreCost:     rs,
-						HostSuspendCost: hs,
-						HostResumeCost:  hr,
+						Policy:        pol,
+						Preempt:       preempt,
+						Quantum:       quantum,
+						SuspendToHost: suspend,
+						fixedLegs:     lg,
 						// TrunkSlowdown stays off: with stretch factor 1
 						// the progress invariant is exact, not
 						// approximate.
@@ -179,9 +175,9 @@ func TestQuantumDeterminism(t *testing.T) {
 // vacuous property pass over schedules that never slice would prove
 // nothing).
 func TestQuantumSliceCountsPlausible(t *testing.T) {
-	ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
+	lg := testLegs(200*time.Millisecond, 100*time.Millisecond, 0, 0)
 	s := New(Config{Cluster: newTestCluster(32), Policy: Backfill,
-		Quantum: 5 * time.Second, CheckpointCost: ck, RestoreCost: rs})
+		Quantum: 5 * time.Second, fixedLegs: lg})
 	submitAll(t, s, SyntheticStream(1, 200, 32, 5*time.Second))
 	rep := s.Run()
 	if rep.SliceEvents == 0 {

@@ -3,7 +3,6 @@ package batch
 import (
 	"container/heap"
 	"sort"
-	"time"
 )
 
 // queue holds pending jobs. It is a lazily sorted slice rather than a
@@ -123,22 +122,6 @@ func (q *queue) compact() {
 }
 
 func (q *queue) len() int { return len(q.jobs) - q.tombs }
-
-// nextArrival returns the earliest resolved arrival strictly after now
-// among pending jobs. The live event loop reads the calendar queue
-// instead (Scheduler.arrivals); this linear scan is kept as the
-// brute-force reference the index property suite cross-checks.
-func (q *queue) nextArrival(now time.Duration) (time.Duration, bool) {
-	var best time.Duration
-	found := false
-	for _, j := range q.jobs {
-		if j != nil && j.arrive > now && (!found || j.arrive < best) {
-			best = j.arrive
-			found = true
-		}
-	}
-	return best, found
-}
 
 // eventHeap orders running jobs by completion time (ties by ID for
 // determinism); it doubles as the running set for shadow-time

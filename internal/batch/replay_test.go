@@ -16,11 +16,11 @@ import (
 func TestReportInsulatedFromReplay(t *testing.T) {
 	const nodes, count = 16, 150
 	mix := SyntheticStream(9, count, nodes, 5*time.Second)
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	run := func() Report {
 		s := New(Config{Cluster: newTestCluster(nodes), Policy: Backfill,
 			Preempt: true, Quantum: 30 * time.Second,
-			CheckpointCost: ck, RestoreCost: rs})
+			fixedLegs: lg})
 		submitAll(t, s, mix)
 		return s.Run()
 	}

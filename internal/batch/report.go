@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -157,13 +158,13 @@ func (s *Scheduler) report() Report {
 	if src, ok := s.cfg.Recorder.(interface{ Events() []Event }); ok {
 		r.Events = append([]Event(nil), src.Events()...)
 	}
-	var waitSum time.Duration
+	var waitSum wideSum
 	for _, j := range r.Jobs {
 		if j.End > r.Makespan {
 			r.Makespan = j.End
 		}
 		w := j.Wait()
-		waitSum += w
+		waitSum.add(w)
 		if w > r.MaxWait {
 			r.MaxWait = w
 		}
@@ -194,7 +195,7 @@ func (s *Scheduler) report() Report {
 		}
 	}
 	if n := len(s.finished); n > 0 {
-		r.AvgWait = waitSum / time.Duration(n)
+		r.AvgWait = waitSum.mean(n)
 	}
 	r.ShortCut = r.MedianEstimate()
 	r.ShortWait = r.AvgWaitUnder(r.ShortCut)
@@ -232,18 +233,49 @@ func (s *Scheduler) report() Report {
 // resolved runtime estimate is at most cut — the short-job wait, the
 // figure time-slicing exists to improve. Zero when no job qualifies.
 func (r Report) AvgWaitUnder(cut time.Duration) time.Duration {
-	var sum time.Duration
+	var sum wideSum
 	n := 0
 	for _, j := range r.Jobs {
 		if j.Estimate() <= cut {
-			sum += j.Wait()
+			sum.add(j.Wait())
 			n++
 		}
 	}
 	if n == 0 {
 		return 0
 	}
-	return sum / time.Duration(n)
+	return sum.mean(n)
+}
+
+// wideSum is a 128-bit two's-complement sum of durations. Waits summed
+// in int64 nanoseconds wrap once they pass 292 years in total — 100,000
+// jobs waiting 43 h each on average do.
+type wideSum struct {
+	hi int64
+	lo uint64
+}
+
+func (s *wideSum) add(d time.Duration) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, uint64(d), 0)
+	s.hi += int64(d)>>63 + int64(carry)
+}
+
+// mean returns the sum divided by n > 0, truncated toward zero like the
+// int64 division of a sum that does not wrap. The quotient fits: n
+// durations average to a duration.
+func (s wideSum) mean(n int) time.Duration {
+	hi, lo := uint64(s.hi), s.lo
+	if s.hi < 0 {
+		var borrow uint64
+		lo, borrow = bits.Sub64(0, lo, 0)
+		hi, _ = bits.Sub64(0, hi, borrow)
+	}
+	q, _ := bits.Div64(hi, lo, uint64(n))
+	if s.hi < 0 {
+		return -time.Duration(q)
+	}
+	return time.Duration(q)
 }
 
 // MedianEstimate returns the median resolved runtime estimate over

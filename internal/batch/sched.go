@@ -122,8 +122,8 @@ type Config struct {
 	// Preempt enables priority preemption: a blocked job may suspend
 	// running jobs of strictly lower priority through the
 	// checkpoint/restart protocol (see preempt.go). The victims drain a
-	// checkpoint (CheckpointCost), re-enter the queue with their saved
-	// progress, and pay RestoreCost when they are dispatched again.
+	// checkpoint to the store, re-enter the queue with their saved
+	// progress, and pay a store restore when they are dispatched again.
 	Preempt bool
 	// Quantum enables time-sliced gang scheduling: a resident gang that
 	// has run a full quantum of work is suspended through the same
@@ -154,14 +154,12 @@ type Config struct {
 	// is non-empty, so a fault-free run is bit-identical with the knob
 	// on or off. <= 0 disables proactive banking.
 	CheckpointInterval time.Duration
-	// CheckpointCost prices draining one job's per-node workload image
-	// at preemption; nil uses DefaultCheckpointCost over the paper's
-	// hardware model (AGP readback plus a Gigabit write to the
-	// checkpoint store).
-	CheckpointCost func(*Job) time.Duration
-	// RestoreCost prices reloading a checkpointed image at the next
-	// dispatch; nil uses DefaultRestoreCost.
-	RestoreCost func(*Job) time.Duration
+	// StoreBandwidth is the checkpoint-store link's bandwidth in bytes
+	// per second, pricing the store write and read legs of every tier
+	// move (preempt.go); <= 0 uses the paper's Gigabit link at its
+	// calibrated efficiency. The AGP bus legs always use the paper's
+	// model.
+	StoreBandwidth float64
 	// StoreDuplex selects how the checkpoint store link's read and
 	// write directions share the wire: FullDuplex (the zero value)
 	// gives drains and restores independent timelines; HalfDuplex
@@ -174,12 +172,6 @@ type Config struct {
 	// until the job resumes or memory pressure demotes the image to
 	// the store (see suspend.go).
 	SuspendToHost bool
-	// HostSuspendCost prices the bus-only drain of a suspend-to-host
-	// checkpoint; nil uses DefaultHostSuspendCost (AGP readback).
-	HostSuspendCost func(*Job) time.Duration
-	// HostResumeCost prices resuming a host-resident image; nil uses
-	// DefaultHostResumeCost (AGP download).
-	HostResumeCost func(*Job) time.Duration
 	// FairShareHalfLife is the virtual-time half-life of per-user usage
 	// decay under the FairShare policy; <= 0 means 30 minutes.
 	FairShareHalfLife time.Duration
@@ -197,6 +189,10 @@ type Config struct {
 	// gauges, and histograms into (metrics.go); series carry
 	// policy/placement labels. Nil disables publication.
 	Metrics *Registry
+
+	// fixedLegs, when set, prices every job's tier moves with these
+	// legs instead of from its footprint — a seam for in-package tests.
+	fixedLegs *legs
 }
 
 // Scheduler drives the job lifecycle on a virtual clock: Submit stamps
@@ -259,17 +255,8 @@ func New(cfg Config) *Scheduler {
 		est := NewPerfEstimator()
 		cfg.Estimate = est.Estimate
 	}
-	if cfg.CheckpointCost == nil {
-		cfg.CheckpointCost = DefaultCheckpointCost
-	}
-	if cfg.RestoreCost == nil {
-		cfg.RestoreCost = DefaultRestoreCost
-	}
-	if cfg.HostSuspendCost == nil {
-		cfg.HostSuspendCost = DefaultHostSuspendCost
-	}
-	if cfg.HostResumeCost == nil {
-		cfg.HostResumeCost = DefaultHostResumeCost
+	if cfg.StoreBandwidth <= 0 {
+		cfg.StoreBandwidth = ckptHardware.Net.LinkBandwidth * ckptHardware.Net.Efficiency
 	}
 	s := &Scheduler{cfg: cfg, nextID: 1, usage: make(map[string]*usage), byID: make(map[int]*Job)}
 	s.ends.init()
@@ -538,8 +525,8 @@ func (s *Scheduler) outstandingWork() bool {
 func (s *Scheduler) schedulePass() {
 	// Under FairShare the cached queue order stays valid across pure
 	// clock advance (every account decays by the same factor, see
-	// usageOf); chargeUsage and push mark the queue dirty whenever the
-	// order can actually change, so no re-sort is forced here.
+	// fairshare.go); chargeUsage and push mark the queue dirty whenever
+	// the order can actually change, so no re-sort is forced here.
 	for {
 		var t0 time.Time
 		if s.met != nil {
@@ -688,20 +675,26 @@ func (s *Scheduler) restorePrefixWorst(j *Job) time.Duration {
 	if !j.hostImage {
 		return s.link.readDelay(s.now) + j.restoreCost
 	}
-	readAvail := s.now + s.link.writeDelay(s.now) + s.storeWriteLeg(j)
-	rStart := readAvail
-	if s.link.readFree > rStart {
-		rStart = s.link.readFree
-	}
-	rc := s.cfg.RestoreCost(j)
-	if rc < 0 {
-		rc = 0
-	}
-	prefix := rStart + rc - s.now
+	prefix := s.storeReadStart(j, true) + s.legsOf(j).restore() - s.now
 	if j.restoreCost > prefix {
 		prefix = j.restoreCost
 	}
 	return prefix
+}
+
+// storeReadStart returns the instant a store read of j's image booked
+// now could begin: once the image is in the store — after its outbound
+// write, queued on the write direction, when a host-resident image
+// migrates — and once the read direction frees.
+func (s *Scheduler) storeReadStart(j *Job, migrate bool) time.Duration {
+	start := s.now
+	if migrate {
+		start += s.link.writeDelay(s.now) + s.legsOf(j).storeWrite
+	}
+	if s.link.readFree > start {
+		start = s.link.readFree
+	}
+	return start
 }
 
 // tryStart attempts a gang placement for j at the current instant and,
@@ -758,23 +751,12 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 			// a compressed demotion + restore, all charged to the
 			// waiting gang.
 			migrate = true
-			cost = s.cfg.RestoreCost(j)
-			if cost < 0 {
-				cost = 0
-			}
-			writeLeg = s.storeWriteLeg(j)
-		}
-		readAvail := s.now // instant the image is in the store, ready to read
-		if migrate {
-			readAvail += s.link.writeDelay(s.now) + writeLeg
+			l := s.legsOf(j)
+			cost, writeLeg = l.restore(), l.storeWrite
 		}
 		wait := time.Duration(0)
 		if cost > 0 {
-			rStart := readAvail
-			if free := s.link.readFree; free > rStart {
-				rStart = free
-			}
-			wait = rStart - s.now // everything ahead of the read transfer
+			wait = s.storeReadStart(j, migrate) - s.now // everything ahead of the read transfer
 		}
 		cands := c.candidates(j.Nodes, j.memNeed, s.cfg.Placement)
 		if s.met != nil {

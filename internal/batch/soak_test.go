@@ -135,17 +135,16 @@ func TestSoakStormReplay(t *testing.T) {
 	}
 	plan := GenFaultPlan(soakSeed, soakNodes, 24*time.Hour, 4*time.Hour)
 	wins := planWindows(plan, soakNodes)
-	ck, rs := fixedCosts(time.Second, 500*time.Millisecond)
+	lg := testLegs(time.Second, 500*time.Millisecond, 0, 0)
 	kills, banks := 0, 0
 	for _, pol := range Policies() {
 		jobs, _ := TraceJobs(recs, soakNodes)
 		s := New(Config{
-			Cluster:        newTestCluster(soakNodes),
-			Policy:         pol,
-			Quantum:        300 * time.Second,
-			CheckpointCost: ck,
-			RestoreCost:    rs,
-			Faults:         plan,
+			Cluster:   newTestCluster(soakNodes),
+			Policy:    pol,
+			Quantum:   300 * time.Second,
+			fixedLegs: lg,
+			Faults:    plan,
 			// The interval must undercut the 300s quantum: a proactive
 			// bank only arms when it lands before the slice boundary.
 			CheckpointInterval: 4 * time.Minute,

@@ -152,11 +152,11 @@ func (s *Scheduler) evictFor(j *Job) {
 }
 
 // demote books one image's eviction write on the store link: the
-// transfer is the store leg its host suspension skipped (checkpoint
-// cost minus the bus-only drain), it queues behind in-flight drains,
-// and the image's memory stays pinned until the write ends.
+// transfer is the store write its host suspension skipped, it queues
+// behind in-flight drains, and the image's memory stays pinned until
+// the write ends.
 func (s *Scheduler) demote(d *Job) {
-	cost := s.storeWriteLeg(d)
+	cost := s.legsOf(d).storeWrite
 	start := s.link.reserveWrite(s.now, cost)
 	d.demoteEnd = start + cost
 	s.demoting = append(s.demoting, d)
@@ -203,10 +203,7 @@ func (s *Scheduler) settleDemotions() {
 		d.hostImage = false
 		d.hostAlloc = Allocation{}
 		d.demoteEnd = 0
-		d.restoreCost = s.cfg.RestoreCost(d)
-		if d.restoreCost < 0 {
-			d.restoreCost = 0
-		}
+		d.restoreCost = s.legsOf(d).restore()
 	}
 	s.demoting = kept
 	keptPins := s.pinned[:0]

@@ -6,13 +6,6 @@ import (
 	"time"
 )
 
-// fixedHostCosts pins deterministic suspend-to-host drain/resume costs
-// next to fixedCosts' store prices.
-func fixedHostCosts(suspend, resume time.Duration) (func(*Job) time.Duration, func(*Job) time.Duration) {
-	return func(*Job) time.Duration { return suspend },
-		func(*Job) time.Duration { return resume }
-}
-
 // TestSuspendToHostSkipsStoreRoundTrip pins the cheap tier: a victim
 // whose image fits in its nodes' free memory suspends into RAM (1s bus
 // drain instead of the 10s store checkpoint), resumes on its home nodes
@@ -21,12 +14,10 @@ func fixedHostCosts(suspend, resume time.Duration) (func(*Job) time.Duration, fu
 // from 15s to 2s on the same schedule.
 func TestSuspendToHostSkipsStoreRoundTrip(t *testing.T) {
 	run := func(suspend bool) (*Job, *Job, Report) {
-		ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-		hs, hr := fixedHostCosts(time.Second, time.Second)
+		lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 		s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
 			Preempt: true, SuspendToHost: suspend,
-			CheckpointCost: ck, RestoreCost: rs,
-			HostSuspendCost: hs, HostResumeCost: hr})
+			fixedLegs: lg})
 		v := &Job{Name: "v", Nodes: 8, Priority: 0, Est: 500 * time.Second}
 		u := &Job{Name: "u", Nodes: 8, Priority: 9, Est: 30 * time.Second, Submit: 10 * time.Second}
 		submitAll(t, s, []*Job{v, u})
@@ -81,16 +72,14 @@ func TestSuspendToHostSkipsStoreRoundTrip(t *testing.T) {
 // waiter starts when the write settles, and the demoted job's next
 // restore is a full store restore.
 func TestSuspendToHostDemotionPaysSkippedDrain(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	c := newTestCluster(2)
 	for i := 0; i < 2; i++ {
 		c.SetSpec(i, NodeSpec{GPUs: 1, MemBytes: 100 << 20, Group: c.Spec(i).Group})
 	}
 	s := New(Config{Cluster: c, Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	// ~63 MB per node: fits a 100 MB node alone, but not alongside a
 	// resident image of the same size.
 	big := [3]int{256, 256, 120}
@@ -138,12 +127,10 @@ func TestSuspendToHostDemotionPaysSkippedDrain(t *testing.T) {
 // instead of the cheap bus resume (the image cannot teleport between
 // nodes), and releasing the pinned memory.
 func TestHostImageMigratesWhenHomeNodesTaken(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	s := New(Config{Cluster: newTestCluster(16), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	// other takes [0,8) (higher priority, placed first), v its home
 	// [8,16). The camper preempts v at 10 and squats on the home nodes
 	// until long after v's re-dispatch.
@@ -182,16 +169,14 @@ func TestHostImageMigratesWhenHomeNodesTaken(t *testing.T) {
 // suspending to host and immediately demoting — no demotion
 // round-trip, no pinned image.
 func TestWaveAdmissionForcesStoreWhenImageBlocksBeneficiary(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	c := newTestCluster(2)
 	for i := 0; i < 2; i++ {
 		c.SetSpec(i, NodeSpec{GPUs: 1, MemBytes: 100 << 20, Group: c.Spec(i).Group})
 	}
 	s := New(Config{Cluster: c, Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	big := [3]int{256, 256, 120} // ~63 MB of a 100 MB node
 	v := &Job{Name: "v", Kind: KindPDE, Nodes: 2, Priority: 0, Est: 500 * time.Second, Problem: big}
 	j := &Job{Name: "j", Kind: KindPDE, Nodes: 2, Priority: 9, Est: 20 * time.Second,
@@ -227,16 +212,14 @@ func TestWaveAdmissionForcesStoreWhenImageBlocksBeneficiary(t *testing.T) {
 // demotion settlement is a real shadow event, so a short filler
 // backfills the window in front of the waiter's reservation.
 func TestDemotionEvictsOnlyNeededImages(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	c := newTestCluster(4)
 	for i := 0; i < 4; i++ {
 		c.SetSpec(i, NodeSpec{GPUs: 1, MemBytes: 100 << 20, Group: c.Spec(i).Group})
 	}
 	s := New(Config{Cluster: c, Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	big := [3]int{256, 256, 120} // ~63 MB per node
 	small := [3]int{64, 64, 16}  // ~0.5 MB per node
 	// a takes nodes [0,2) (placed first on priority), b takes [2,4);
@@ -316,12 +299,10 @@ func memSqueezedCluster(n int) *Cluster {
 // beneficiary waits for natural completion, which frees the nodes
 // sooner.
 func TestForcedStoreTierRespectsFutileGuard(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	big := [3]int{256, 256, 120}
 	v := &Job{Name: "v", Kind: KindPDE, Nodes: 2, Priority: 0, Est: 500 * time.Second, Problem: big}
 	j := &Job{Name: "j", Kind: KindPDE, Nodes: 2, Priority: 9, Est: 20 * time.Second,
@@ -346,12 +327,10 @@ func TestForcedStoreTierRespectsFutileGuard(t *testing.T) {
 // would pin the waiter's memory), a tail shorter than the store drain
 // extends in place instead of suspending.
 func TestSliceYieldFlipRespectsFutileGuard(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Quantum: 300 * time.Second, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	big := [3]int{256, 256, 120}
 	a := &Job{Name: "a", Kind: KindPDE, Nodes: 2, Est: 303 * time.Second, Problem: big}
 	b := &Job{Name: "b", Kind: KindPDE, Nodes: 2, Est: 30 * time.Second,
@@ -375,12 +354,10 @@ func TestSliceYieldFlipRespectsFutileGuard(t *testing.T) {
 // tier for a victim whose (small) image never blocked the beneficiary
 // — only the image actually in the way pays the store drain.
 func TestWaveForceStoreIsMinimized(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	s := New(Config{Cluster: memSqueezedCluster(4), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	tiny := [3]int{160, 160, 103} // ~20 MB image: nodes stay eligible
 	big := [3]int{256, 256, 134}  // ~67 MB: does not fit beside a big image
 	wide := [3]int{256, 256, 120} // ~60 MB image: blocks a big placement
@@ -422,12 +399,10 @@ func TestWaveForceStoreIsMinimized(t *testing.T) {
 // the store — so its checkpoint must take the store path again, not a
 // bus-only "suspension" of state that never arrived.
 func TestMidRestorePreemptionNeverSuspendsToHost(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 10*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 10*time.Second, time.Second, time.Second)
 	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	big := [3]int{256, 256, 120}
 	v := &Job{Name: "v", Kind: KindPDE, Nodes: 2, Priority: 0, Est: 500 * time.Second, Problem: big}
 	u1 := &Job{Name: "u1", Kind: KindPDE, Nodes: 2, Priority: 9, Est: 20 * time.Second,
@@ -462,12 +437,10 @@ func TestMidRestorePreemptionNeverSuspendsToHost(t *testing.T) {
 // deducted — the statistic cannot go negative — and the busy ≡ work +
 // overhead invariant survives the aborted migration.
 func TestMigrationPreemptedDuringWriteLegKeepsStatsExact(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	s := New(Config{Cluster: newTestCluster(16), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	v := &Job{Name: "v", Nodes: 8, Priority: 0, Est: 500 * time.Second}
 	other := &Job{Name: "other", Nodes: 8, Priority: 3, Est: 40 * time.Second}
 	camper := &Job{Name: "camper", Nodes: 8, Priority: 9, Est: 200 * time.Second, Submit: 10 * time.Second}
@@ -504,12 +477,10 @@ func TestMigrationPreemptedDuringWriteLegKeepsStatsExact(t *testing.T) {
 // images the settling one already makes unnecessary — the pressure
 // test counts memory that is on its way out as gone.
 func TestEvictionWindowDoesNotCascade(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
-	hs, hr := fixedHostCosts(time.Second, time.Second)
+	lg := testLegs(10*time.Second, 5*time.Second, time.Second, time.Second)
 	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	imgProb := [3]int{192, 192, 102} // ~30 MB image per node
 	small := [3]int{64, 64, 16}
 	// Two 30 MB images accumulate on the two nodes; j needs ~52 MB —
@@ -561,12 +532,10 @@ func TestEvictionWindowDoesNotCascade(t *testing.T) {
 // policies × quantum × preempt × suspend-to-host sweep would prove
 // nothing about in-RAM suspension accounting.
 func TestPropertyMixEngagesSuspendToHost(t *testing.T) {
-	ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
-	hs, hr := fixedHostCosts(50*time.Millisecond, 25*time.Millisecond)
+	lg := testLegs(200*time.Millisecond, 100*time.Millisecond, 50*time.Millisecond, 25*time.Millisecond)
 	s := New(Config{Cluster: newTestCluster(32), Policy: Backfill,
 		Preempt: true, Quantum: 5 * time.Second, SuspendToHost: true,
-		CheckpointCost: ck, RestoreCost: rs,
-		HostSuspendCost: hs, HostResumeCost: hr})
+		fixedLegs: lg})
 	submitAll(t, s, SyntheticStream(1, 200, 32, 5*time.Second))
 	if rep := s.Run(); rep.HostSuspends == 0 {
 		t.Fatal("property mix never suspended to host — the crossed invariants are vacuous")

@@ -13,10 +13,10 @@ import (
 // and nothing else.
 func TestTimeSliceSharesMachineRoundRobin(t *testing.T) {
 	const quantum = 30 * time.Second
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	run := func(q time.Duration) (*Job, *Job, Report) {
 		s := New(Config{Cluster: newTestCluster(8), Policy: FIFO,
-			Quantum: q, CheckpointCost: ck, RestoreCost: rs})
+			Quantum: q, fixedLegs: lg})
 		a := &Job{Name: "a", Nodes: 8, Est: 100 * time.Second}
 		b := &Job{Name: "b", Nodes: 8, Est: 100 * time.Second}
 		submitAll(t, s, []*Job{a, b})
@@ -86,10 +86,10 @@ func TestTimeSliceSharesMachineRoundRobin(t *testing.T) {
 // runtime — and with no waiter left, the long gang's later slices are
 // extended in place free of charge.
 func TestTimeSliceShortJobJumpsLongGang(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	run := func(q time.Duration) (*Job, *Job, Report) {
 		s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
-			Quantum: q, CheckpointCost: ck, RestoreCost: rs})
+			Quantum: q, fixedLegs: lg})
 		long := &Job{Name: "long", Nodes: 8, Est: 600 * time.Second}
 		short := &Job{Name: "short", Nodes: 8, Est: 30 * time.Second, Submit: 45 * time.Second}
 		submitAll(t, s, []*Job{long, short})
@@ -129,9 +129,9 @@ func TestTimeSliceShortJobJumpsLongGang(t *testing.T) {
 // be placed on its nodes — either suspension would be a zero-progress
 // checkpoint/restore cycle.
 func TestTimeSliceNeverYieldsToLowerRank(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
-		Quantum: 30 * time.Second, CheckpointCost: ck, RestoreCost: rs})
+		Quantum: 30 * time.Second, fixedLegs: lg})
 	high := &Job{Name: "high", Nodes: 8, Priority: 5, Est: 120 * time.Second}
 	low := &Job{Name: "low", Nodes: 8, Priority: 0, Est: 30 * time.Second, Submit: 10 * time.Second}
 	submitAll(t, s, []*Job{high, low})
@@ -152,9 +152,9 @@ func TestTimeSliceNeverYieldsToLowerRank(t *testing.T) {
 // running the 1s tail frees the nodes sooner than a 5s drain plus a
 // later restore ever could.
 func TestTimeSliceSkipsFutileSuspension(t *testing.T) {
-	ck, rs := fixedCosts(5*time.Second, 3*time.Second)
+	lg := testLegs(5*time.Second, 3*time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
-		Quantum: 300 * time.Second, CheckpointCost: ck, RestoreCost: rs})
+		Quantum: 300 * time.Second, fixedLegs: lg})
 	almost := &Job{Name: "almost", Nodes: 8, Est: 301 * time.Second}
 	waiter := &Job{Name: "waiter", Nodes: 8, Est: 30 * time.Second, Submit: 10 * time.Second}
 	submitAll(t, s, []*Job{almost, waiter})
@@ -174,9 +174,9 @@ func TestTimeSliceSkipsFutileSuspension(t *testing.T) {
 // must not checkpoint itself for it — and a head that still would not
 // fit on the gang's freed nodes is no reason to yield either.
 func TestTimeSliceIgnoresPolicyBlockedWaiter(t *testing.T) {
-	ck, rs := fixedCosts(2*time.Second, time.Second)
+	lg := testLegs(2*time.Second, time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(32), Policy: FIFO,
-		Quantum: 60 * time.Second, CheckpointCost: ck, RestoreCost: rs})
+		Quantum: 60 * time.Second, fixedLegs: lg})
 	gang := &Job{Name: "gang", Nodes: 12, Est: 600 * time.Second}
 	other := &Job{Name: "other", Nodes: 10, Est: 600 * time.Second}
 	// 10 nodes stay free: the head needs 30 (does not fit even with the
@@ -202,9 +202,9 @@ func TestTimeSliceIgnoresPolicyBlockedWaiter(t *testing.T) {
 // victims' nodes free — the second no longer waits for the first wave
 // to settle before even being considered.
 func TestMultiWavePreemption(t *testing.T) {
-	ck, rs := fixedCosts(10*time.Second, time.Second)
+	lg := testLegs(10*time.Second, time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(16), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	v1 := &Job{Name: "v1", Nodes: 8, Priority: 1, Est: 500 * time.Second}
 	v2 := &Job{Name: "v2", Nodes: 8, Priority: 2, Est: 500 * time.Second}
 	h1 := &Job{Name: "h1", Nodes: 8, Priority: 5, Est: 50 * time.Second, Submit: 10 * time.Second}
@@ -247,9 +247,9 @@ func TestMultiWavePreemption(t *testing.T) {
 // exist.
 func TestContendedDrainMatchesSerializedSum(t *testing.T) {
 	const drain = 4 * time.Second
-	ck, rs := fixedCosts(drain, time.Second)
+	lg := testLegs(drain, time.Second, 0, 0)
 	s := New(Config{Cluster: newTestCluster(24), Policy: Backfill,
-		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+		Preempt: true, fixedLegs: lg})
 	var victims []*Job
 	for i := 0; i < 3; i++ {
 		victims = append(victims, &Job{Name: "victim", Nodes: 8, Priority: 0, Est: 500 * time.Second})
@@ -308,9 +308,9 @@ func TestSampleTraceTimesliceShortWait(t *testing.T) {
 func TestTimeSlicedWorkloadSegmentedExecution(t *testing.T) {
 	for _, kind := range []JobKind{KindLBM, KindPDE, KindCG} {
 		run := func(q time.Duration) (*Job, *Job, Report) {
-			ck, rs := fixedCosts(2*time.Second, time.Second)
+			lg := testLegs(2*time.Second, time.Second, 0, 0)
 			s := New(Config{Cluster: newTestCluster(2), Policy: FIFO,
-				Quantum: q, CheckpointCost: ck, RestoreCost: rs,
+				Quantum: q, fixedLegs: lg,
 				Execute: SimExecutor{}})
 			a := &Job{Name: "a", Kind: kind, Nodes: 2, Est: 100 * time.Second}
 			b := &Job{Name: "b", Kind: kind, Nodes: 2, Est: 100 * time.Second}

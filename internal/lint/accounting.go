@@ -38,10 +38,10 @@ var auditedAccounting = map[string]bool{
 	"Scheduler.tryStart":        true, // restore prefix charge + read-link reservation + migration write leg
 	"Scheduler.complete":        true, // closes the run segment
 	"Scheduler.cancelRunning":   true, // closes the segment of a canceled gang
-	"Scheduler.beginCheckpoint": true, // drain charge + write-link reservation
-	"Scheduler.bankProgress":    true, // banks the drained segment; mid-restore read refund
-	"Scheduler.loseProgress":    true, // canceled drain: charge becomes lost work
-	"Scheduler.ckptBoundary":    true, // proactive bank: write-link reservation + charge
+	"Scheduler.beginCheckpoint": true, // host drain charge
+	"Scheduler.bookStoreDrain":  true, // store drain charge + write-link reservation (preemption and proactive bank)
+	"Scheduler.cutSegment":      true, // interrupted segment: mid-restore overhead and read refund
+	"Scheduler.loseProgress":    true, // fault-cut segment: elapsed work becomes lost work
 	"Scheduler.bankSettle":      true, // proactive bank settlement segment
 	"Scheduler.failGang":        true, // fault kill: lost tail, drain refund
 	"Scheduler.demote":          true, // eviction write-link reservation

@@ -26,9 +26,9 @@ type Scheduler struct {
 	link *storeLink
 }
 
-// bankProgress is on the audited allowlist: all three mutation kinds
+// cutSegment is on the audited allowlist: all three mutation kinds
 // pass here.
-func (s *Scheduler) bankProgress(j *Job, g *gang, seg int) {
+func (s *Scheduler) cutSegment(j *Job, g *gang, seg int) {
 	j.History = append(j.History, seg)
 	g.overhead += seg
 	s.link.reserveWrite(seg)
